@@ -293,7 +293,7 @@ func Run(cfg Config, journalPath string, resume bool, stop <-chan struct{}) (*Re
 			res.Failed++
 		}
 		res.JournalBytes = size
-		mu.Unlock()
+		// Workers share cfg.Log, so progress lines are written under mu.
 		if rec.Status == StatusOK {
 			cDone.Inc()
 			cfg.logf("campaign: trial %d/%d %s ok (attempt %d)", t.Idx+1, len(trials), rec.Key, rec.Attempts)
@@ -301,6 +301,7 @@ func Run(cfg Config, journalPath string, resume bool, stop <-chan struct{}) (*Re
 			cFailed.Inc()
 			cfg.logf("campaign: trial %d/%d %s FAILED after %d attempts: %s", t.Idx+1, len(trials), rec.Key, rec.Attempts, rec.Err)
 		}
+		mu.Unlock()
 		if cfg.StopAfter > 0 && added >= cfg.StopAfter {
 			checkpoint()
 		}

@@ -439,55 +439,174 @@ func TestInBandControlDrivesRecordAndReplay(t *testing.T) {
 	}
 }
 
+// watchReplay wraps the replay cursor's emission callback: it checks
+// that every burst fires at its replayTimes entry, logs the burst
+// index, then runs after (if non-nil) once the burst is out.
+func watchReplay(t *testing.T, r *rig, after func(i int)) *[]int {
+	t.Helper()
+	var emitted []int
+	emit := r.mb.emitFn
+	r.mb.emitFn = func() {
+		i := r.mb.replayNext
+		if now := r.eng.Now(); now != r.mb.replayTimes[i] {
+			t.Errorf("burst %d emitted at %v, scheduled for %v", i, now, r.mb.replayTimes[i])
+		}
+		emitted = append(emitted, i)
+		emit()
+		if after != nil {
+			after(i)
+		}
+	}
+	return &emitted
+}
+
+// TestPauseResumeReplay pauses replays at the replay cursor's edge
+// cases and resumes them 50ms later: every burst must be emitted
+// exactly once, in order, at its (possibly resume-shifted) replayTimes
+// entry, and every packet must arrive, in order.
 func TestPauseResumeReplay(t *testing.T) {
-	r := newRig(20, nil)
-	r.bus.Send(r.mb, control.StartRecord{At: 0})
-	r.generate(2000) // ~568µs of traffic
-	r.eng.Run()
+	const pkts = 2000 // ~568µs of traffic
+	cases := []struct {
+		name string
+		// stall adds periodic vCPU stalls during the replay, which clamp
+		// runs of bursts to one instant.
+		stall bool
+		// pauseBefore pauses as the replay starts, before its first
+		// burst; pauseWall pauses by wall clock, that long after the
+		// commanded start; pauseAfter pauses synchronously right after
+		// burst i is handed to the NIC.
+		pauseBefore bool
+		pauseWall   sim.Duration
+		pauseAfter  func(m *Middlebox, i int) bool
+		pauses      int
+		// gap: a pause separates two bursts, so the capture shows it.
+		gap bool
+	}{
+		{name: "mid-replay", pauseWall: 280 * sim.Microsecond, pauses: 1, gap: true},
+		{name: "before-first-burst", pauseBefore: true, pauses: 1},
+		{name: "between-clamped-bursts", stall: true, pauses: 1, gap: true,
+			pauseAfter: func() func(m *Middlebox, i int) bool {
+				done := false
+				return func(m *Middlebox, i int) bool {
+					if done || i+1 >= len(m.replayTimes) || m.replayTimes[i+1] != m.replayTimes[i] {
+						return false
+					}
+					done = true
+					return true
+				}
+			}()},
+		{name: "before-last-burst", pauses: 1, gap: true,
+			pauseAfter: func(m *Middlebox, i int) bool { return i == len(m.replayTimes)-2 }},
+		{name: "after-last-burst", pauses: 1,
+			pauseAfter: func(m *Middlebox, i int) bool { return i == len(m.replayTimes)-1 }},
+		{name: "twice", pauses: 2, gap: true,
+			pauseAfter: func(m *Middlebox, i int) bool { return i == 3 || i == 17 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(20, func(c *Config) {
+				if tc.stall {
+					c.Stall = sim.NewStallTimeline(sim.NewEngine(98).Rand("s"),
+						sim.Constant{V: 150 * sim.Microsecond}, sim.Constant{V: 60 * sim.Microsecond})
+				}
+			})
+			emitted := watchReplay(t, r, func(i int) {
+				if tc.pauseAfter != nil && tc.pauseAfter(r.mb, i) {
+					r.mb.HandleCommand(control.PauseReplay{}, r.eng.Now())
+				}
+			})
+			r.bus.Send(r.mb, control.StartRecord{At: 0})
+			r.generate(pkts)
+			r.eng.Run()
+			bursts := r.mb.RecordedBursts()
 
-	r.rec.StartTrial("A")
-	start := r.mb.cfg.Wall.Wall(r.eng.Now()) + 10*sim.Millisecond
-	r.bus.Send(r.mb, control.StartReplay{At: start})
-	// Pause roughly halfway through the replay window.
-	pauseAt := start + 280*sim.Microsecond
-	r.eng.Schedule(r.mb.cfg.Wall.SimTimeFor(pauseAt), func() {
-		r.mb.HandleCommand(control.PauseReplay{}, r.eng.Now())
-	})
-	r.eng.Run()
-	if !r.mb.Paused() {
-		t.Fatal("middlebox not paused")
+			r.rec.StartTrial("A")
+			start := r.mb.cfg.Wall.Wall(r.eng.Now()) + 10*sim.Millisecond
+			if tc.pauseBefore {
+				r.mb.HandleCommand(control.StartReplay{At: start}, r.eng.Now())
+				r.mb.HandleCommand(control.PauseReplay{}, r.eng.Now())
+			} else {
+				r.bus.Send(r.mb, control.StartReplay{At: start})
+			}
+			if tc.pauseWall > 0 {
+				r.eng.Schedule(r.mb.cfg.Wall.SimTimeFor(start+tc.pauseWall), func() {
+					r.mb.HandleCommand(control.PauseReplay{}, r.eng.Now())
+				})
+			}
+			r.eng.Run()
+			pauses := 0
+			for r.mb.Paused() {
+				pauses++
+				if got := r.rec.Trace().Len(); got >= pkts && tc.gap {
+					t.Fatalf("pause %d: all %d packets delivered before resume", pauses, got)
+				}
+				// Resume 50ms later; the rest must follow with the
+				// recorded spacing preserved after the gap.
+				resume := r.mb.cfg.Wall.Wall(r.eng.Now()) + 50*sim.Millisecond
+				r.bus.Send(r.mb, control.ResumeReplay{At: resume})
+				r.eng.Run()
+			}
+			if pauses != tc.pauses {
+				t.Fatalf("paused %d times, want %d", pauses, tc.pauses)
+			}
+			if r.mb.Status().Replaying {
+				t.Fatal("replay still running after the queue drained")
+			}
+			if len(*emitted) != bursts {
+				t.Fatalf("emitted %d bursts, recorded %d", len(*emitted), bursts)
+			}
+			for i, b := range *emitted {
+				if b != i {
+					t.Fatalf("emission %d was burst %d: bursts skipped, repeated or reordered", i, b)
+				}
+			}
+			tr := r.rec.Trace()
+			if tr.Len() != pkts {
+				t.Fatalf("after resume delivered %d of %d", tr.Len(), pkts)
+			}
+			for i, p := range tr.Packets {
+				if p.Tag.Seq != uint64(i) {
+					t.Fatalf("order broken at %d after pause/resume", i)
+				}
+			}
+			maxGap := sim.Duration(0)
+			for i := 1; i < tr.Len(); i++ {
+				if g := tr.Times[i] - tr.Times[i-1]; g > maxGap {
+					maxGap = g
+				}
+			}
+			if tc.gap && maxGap < 40*sim.Millisecond {
+				t.Fatalf("pause gap not visible: max IAT %v", maxGap)
+			}
+		})
 	}
-	delivered := r.rec.Trace().Len()
-	if delivered == 0 || delivered >= 2000 {
-		t.Fatalf("paused mid-replay but delivered %d of 2000", delivered)
-	}
+}
 
-	// Resume 50ms later; everything else must arrive, in order, with
-	// the recorded spacing preserved after the gap.
-	resume := r.mb.cfg.Wall.Wall(r.eng.Now()) + 50*sim.Millisecond
-	r.bus.Send(r.mb, control.ResumeReplay{At: resume})
-	r.eng.Run()
-	tr := r.rec.Trace()
-	if tr.Len() != 2000 {
-		t.Fatalf("after resume delivered %d of 2000", tr.Len())
-	}
-	for i, p := range tr.Packets {
-		if p.Tag.Seq != uint64(i) {
-			t.Fatalf("order broken at %d after pause/resume", i)
+// TestReplayQueueStaysBounded: the replay cursor keeps one replay event
+// queued, so the engine's queue during a replay is bounded by the
+// packets in flight, not by the recording's length.
+func TestReplayQueueStaysBounded(t *testing.T) {
+	// A burst's per-packet deliveries plus a handful of component
+	// events; the recordings below hold ~40 and ~400 bursts.
+	const bound = 2*nic.BurstSize + 16
+	for _, pkts := range []int{2000, 20000} {
+		r := newRig(24, nil)
+		peak := 0
+		watchReplay(t, r, func(int) {
+			if n := r.eng.PendingRaw(); n > peak {
+				peak = n
+			}
+		})
+		r.bus.Send(r.mb, control.StartRecord{At: 0})
+		r.generate(pkts)
+		r.eng.Run()
+		if tr := runReplay(r, "A"); tr.Len() != pkts {
+			t.Fatalf("%d packets: replay delivered %d", pkts, tr.Len())
 		}
-	}
-	// The pause gap is visible in the capture.
-	maxGap := sim.Duration(0)
-	for i := 1; i < tr.Len(); i++ {
-		if g := tr.Times[i] - tr.Times[i-1]; g > maxGap {
-			maxGap = g
+		t.Logf("%d packets (%d bursts): peak queue %d during replay", pkts, r.mb.RecordedBursts(), peak)
+		if peak > bound {
+			t.Fatalf("%d packets: queue peaked at %d during replay, want <= %d", pkts, peak, bound)
 		}
-	}
-	if maxGap < 40*sim.Millisecond {
-		t.Fatalf("pause gap not visible: max IAT %v", maxGap)
-	}
-	if r.mb.Paused() {
-		t.Fatal("still paused after resume")
 	}
 }
 

@@ -91,13 +91,18 @@ type Middlebox struct {
 	replaying    bool
 	replaysRun   uint64
 	replayedPkts uint64
-	// pause/resume bookkeeping: scheduled emission events and times for
-	// the current replay, and how many bursts have been emitted.
-	replayEvents []*sim.Event
+	// The replay cursor (see armReplay): the bursts being replayed, each
+	// one's emission time, how many have been emitted, the lane
+	// sequence number of burst 0, and the one armed event — the next
+	// burst, or the end of the replay.
+	replayBursts []recordedBurst
 	replayTimes  []sim.Time
 	replayNext   int
+	replayBase   uint64
+	replayEv     *sim.Event
 	paused       bool
-	endEvent     *sim.Event
+	// The poll and replay-cursor callbacks, bound once.
+	pollFn, emitFn, endFn func()
 
 	ob *mbObs
 }
@@ -154,12 +159,14 @@ func New(eng *sim.Engine, cfg Config) *Middlebox {
 	if cfg.MaxRecordPackets == 0 {
 		cfg.MaxRecordPackets = 8 << 20
 	}
-	return &Middlebox{
+	m := &Middlebox{
 		cfg: cfg,
 		eng: eng,
 		act: eng.NewActor(),
 		rng: eng.Rand(fmt.Sprintf("choir/%d", cfg.ID)),
 	}
+	m.pollFn, m.emitFn, m.endFn = m.poll, m.emitBurst, m.endReplay
+	return m
 }
 
 // SimEngine reports the engine this middlebox runs on (sim.Hosted).
@@ -203,7 +210,7 @@ func (m *Middlebox) armPoll(at sim.Time) {
 	if at < m.eng.Now() {
 		at = m.eng.Now()
 	}
-	m.act.Post(at, m.poll)
+	m.act.Post(at, m.pollFn)
 }
 
 // poll drains up to one burst from the RX staging buffer, transmits it,
@@ -360,7 +367,7 @@ func (m *Middlebox) startReplay(atWall sim.Time) {
 		}
 	}
 
-	m.replayEvents = make([]*sim.Event, len(m.bursts))
+	m.replayBursts = m.bursts
 	m.replayTimes = make([]sim.Time, len(m.bursts))
 	m.replayNext = 0
 	m.paused = false
@@ -379,33 +386,56 @@ func (m *Middlebox) startReplay(atWall sim.Time) {
 		}
 		last = at
 		m.replayTimes[i] = at
-		m.replayEvents[i] = m.scheduleBurst(i, at)
 		if m.ob != nil {
 			// Schedule slip: how far jitter, stall windows and in-order
 			// emission pushed this burst off its TSC-ideal instant.
 			m.ob.slip.Observe(int64(at - ideal))
 		}
 	}
-	m.endEvent = m.act.Schedule(last, func() { m.replaying = false })
+	m.replayBase = m.act.Reserve(len(m.bursts) + 1)
+	m.armReplay()
 }
 
-// scheduleBurst arms the emission of burst i at time at.
-func (m *Middlebox) scheduleBurst(i int, at sim.Time) *sim.Event {
-	pkts := m.bursts[i].pkts
-	return m.act.Schedule(at, func() {
-		m.cfg.Out.SendBurst(pkts)
-		m.replayedPkts += uint64(len(pkts))
-		m.replayNext = i + 1
-		if ob := m.ob; ob != nil {
-			ob.replayed.Add(int64(len(pkts)))
-			if ob.tr != nil {
-				for _, p := range pkts {
-					ob.tr.Instant(p.Tag, obs.StageReplay, ob.track, at)
-				}
+// armReplay arms the replay cursor's one event: burst replayNext at
+// its replayTimes entry or, once every burst is out, the end of the
+// replay at the last burst's instant. Burst i takes lane sequence
+// number replayBase+i and the end replayBase+len(bursts) — the keys an
+// eager schedule of every burst up front would have used. Those keys
+// increase and the times never decrease, so burst i+1, armed when
+// burst i fires, is queued before any event that pops after burst i:
+// the engine pops exactly the eager schedule's sequence, while its
+// queue holds one replay event instead of the whole recording.
+func (m *Middlebox) armReplay() {
+	i, n := m.replayNext, len(m.replayTimes)
+	if i < n {
+		m.replayEv = m.act.ScheduleSeq(m.replayTimes[i], m.replayBase+uint64(i), m.emitFn)
+		return
+	}
+	m.replayEv = m.act.ScheduleSeq(m.replayTimes[n-1], m.replayBase+uint64(n), m.endFn)
+}
+
+// emitBurst transmits the burst under the replay cursor and arms the
+// next one. Arming comes first, so a pause raised while the burst is
+// handed to the NIC cancels the successor.
+func (m *Middlebox) emitBurst() {
+	i := m.replayNext
+	m.replayNext = i + 1
+	m.armReplay()
+	pkts := m.replayBursts[i].pkts
+	m.cfg.Out.SendBurst(pkts)
+	m.replayedPkts += uint64(len(pkts))
+	if ob := m.ob; ob != nil {
+		ob.replayed.Add(int64(len(pkts)))
+		if ob.tr != nil {
+			at := m.replayTimes[i]
+			for _, p := range pkts {
+				ob.tr.Instant(p.Tag, obs.StageReplay, ob.track, at)
 			}
 		}
-	})
+	}
 }
+
+func (m *Middlebox) endReplay() { m.replaying = false }
 
 // pauseReplay suspends the current replay: bursts not yet transmitted
 // are held until ResumeReplay (the breakpointing primitive).
@@ -420,14 +450,7 @@ func (m *Middlebox) pauseReplay() {
 			ob.tr.Mark("replay:pause", ob.track, m.eng.Now(), nil)
 		}
 	}
-	for i := m.replayNext; i < len(m.replayEvents); i++ {
-		if m.replayEvents[i] != nil {
-			m.replayEvents[i].Cancel()
-		}
-	}
-	if m.endEvent != nil {
-		m.endEvent.Cancel()
-	}
+	m.replayEv.Cancel()
 }
 
 // resumeReplay continues a paused replay at the given wall-clock time;
@@ -467,9 +490,10 @@ func (m *Middlebox) resumeReplay(atWall sim.Time) {
 		}
 		last = at
 		m.replayTimes[i] = at
-		m.replayEvents[i] = m.scheduleBurst(i, at)
 	}
-	m.endEvent = m.act.Schedule(last, func() { m.replaying = false })
+	// A fresh block: burst i takes replayBase+i, i >= next.
+	m.replayBase = m.act.Reserve(len(m.replayTimes)-next+1) - uint64(next)
+	m.armReplay()
 }
 
 // Paused reports whether the current replay is suspended.

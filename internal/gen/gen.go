@@ -83,10 +83,34 @@ type Generator struct {
 	act     *sim.Actor
 	q       *nic.Queue
 	emitted int
+	// Emission is self-scheduling with one event armed at a time: emit
+	// (one body per generator kind) starts at packet next, and arms the
+	// event for the packet after it. The generator itself is the
+	// event's handler, so an emission costs no closure.
+	next int
+	emit func(i int)
+	slab packet.Slab
 }
 
 // Emitted returns how many packets have been handed to the NIC so far.
 func (g *Generator) Emitted() int { return g.emitted }
+
+// Fire implements sim.Handler: the armed emission.
+func (g *Generator) Fire(sim.Time, any) { g.emit(g.next) }
+
+// arm queues the emission starting at packet i for instant at.
+func (g *Generator) arm(at sim.Time, i int) {
+	g.next = i
+	g.act.PostTo(at, g, nil)
+}
+
+// armAfter queues the emission starting at packet i d from now.
+func (g *Generator) armAfter(d sim.Duration, i int) {
+	if d < 0 {
+		d = 0
+	}
+	g.arm(g.eng.Now()+d, i)
+}
 
 // StartCBR schedules a CBR stream into q. Emission times are computed
 // exactly (packet i leaves at StartAt + i·serialization(rate)), the
@@ -111,15 +135,14 @@ func StartCBR(eng *sim.Engine, q *nic.Queue, cfg CBRConfig) *Generator {
 	// Self-scheduling emission keeps the event heap small at
 	// million-packet scale; times are computed from the packet index so
 	// pacing never accumulates drift.
-	var emit func(i int)
-	emit = func(i int) {
+	g.emit = func(i int) {
 		n := burst
 		if i+n > cfg.Count {
 			n = cfg.Count - i
 		}
-		pkts := make([]*packet.Packet, n)
-		for j := 0; j < n; j++ {
-			pkts[j] = &packet.Packet{
+		pkts := g.slab.Take(n)
+		for j, p := range pkts {
+			*p = packet.Packet{
 				Tag:      packet.Tag{Stream: cfg.Stream, Seq: uint64(i + j)},
 				Kind:     packet.KindData,
 				FrameLen: cfg.FrameLen,
@@ -130,10 +153,10 @@ func StartCBR(eng *sim.Engine, q *nic.Queue, cfg CBRConfig) *Generator {
 		g.q.SendBurst(pkts)
 		g.emitted += n
 		if next := i + n; next < cfg.Count {
-			g.act.Post(cfg.StartAt+sim.Time(float64(next)*interval), func() { emit(next) })
+			g.arm(cfg.StartAt+sim.Time(float64(next)*interval), next)
 		}
 	}
-	g.act.Post(cfg.StartAt, func() { emit(0) })
+	g.arm(cfg.StartAt, 0)
 	return g
 }
 
@@ -161,22 +184,22 @@ func StartPoisson(eng *sim.Engine, q *nic.Queue, cfg PoissonConfig) *Generator {
 	eo := newEmitObs(eng, cfg.Obs, cfg.Stream)
 	rng := eng.Rand(fmt.Sprintf("gen/poisson/%d", cfg.Stream))
 	meanGap := 1e9 / cfg.MeanRatePPS
-	var emit func(i int)
-	emit = func(i int) {
-		pkts := []*packet.Packet{{
+	g.emit = func(i int) {
+		pkts := g.slab.Take(1)
+		*pkts[0] = packet.Packet{
 			Tag:      packet.Tag{Stream: cfg.Stream, Seq: uint64(i)},
 			Kind:     packet.KindData,
 			FrameLen: cfg.FrameLen,
 			Flow:     cfg.Flow,
-		}}
+		}
 		eo.record(pkts)
 		g.q.SendBurst(pkts)
 		g.emitted++
 		if i+1 < cfg.Count {
-			g.act.PostAfter(sim.Duration(rng.ExpFloat64()*meanGap), func() { emit(i + 1) })
+			g.armAfter(sim.Duration(rng.ExpFloat64()*meanGap), i+1)
 		}
 	}
-	g.act.Post(cfg.StartAt+sim.Duration(rng.ExpFloat64()*meanGap), func() { emit(0) })
+	g.arm(cfg.StartAt+sim.Duration(rng.ExpFloat64()*meanGap), 0)
 	return g
 }
 
@@ -222,22 +245,22 @@ func StartIMIX(eng *sim.Engine, q *nic.Queue, cfg IMIXConfig) *Generator {
 	eo := newEmitObs(eng, cfg.Obs, cfg.Stream)
 	rng := eng.Rand(fmt.Sprintf("gen/imix/%d", cfg.Stream))
 	gap := sim.Duration(1e9 / cfg.RatePPS)
-	var emit func(i int)
-	emit = func(i int) {
-		pkts := []*packet.Packet{{
+	g.emit = func(i int) {
+		pkts := g.slab.Take(1)
+		*pkts[0] = packet.Packet{
 			Tag:      packet.Tag{Stream: cfg.Stream, Seq: uint64(i)},
 			Kind:     packet.KindData,
 			FrameLen: pickIMIX(rng),
 			Flow:     cfg.Flow,
-		}}
+		}
 		eo.record(pkts)
 		g.q.SendBurst(pkts)
 		g.emitted++
 		if i+1 < cfg.Count {
-			g.act.PostAfter(gap, func() { emit(i + 1) })
+			g.armAfter(gap, i+1)
 		}
 	}
-	g.act.Post(cfg.StartAt, func() { emit(0) })
+	g.arm(cfg.StartAt, 0)
 	return g
 }
 
@@ -303,25 +326,25 @@ func StartEmpirical(eng *sim.Engine, q *nic.Queue, cfg EmpiricalConfig) *Generat
 	g := &Generator{eng: eng, act: eng.NewActor(), q: q}
 	eo := newEmitObs(eng, cfg.Obs, cfg.Stream)
 	rng := eng.Rand(fmt.Sprintf("gen/empirical/%d", cfg.Stream))
-	var emit func(i int)
-	emit = func(i int) {
+	g.emit = func(i int) {
 		fl := cfg.FrameLens[rng.Intn(len(cfg.FrameLens))]
 		if fl < packet.MinDataFrameLen {
 			fl = packet.MinDataFrameLen
 		}
-		pkts := []*packet.Packet{{
+		pkts := g.slab.Take(1)
+		*pkts[0] = packet.Packet{
 			Tag:      packet.Tag{Stream: cfg.Stream, Seq: uint64(i)},
 			Kind:     packet.KindData,
 			FrameLen: fl,
 			Flow:     cfg.Flow,
-		}}
+		}
 		eo.record(pkts)
 		g.q.SendBurst(pkts)
 		g.emitted++
 		if i+1 < cfg.Count {
-			g.act.PostAfter(gaps[rng.Intn(len(gaps))], func() { emit(i + 1) })
+			g.armAfter(gaps[rng.Intn(len(gaps))], i+1)
 		}
 	}
-	g.act.Post(cfg.StartAt, func() { emit(0) })
+	g.arm(cfg.StartAt, 0)
 	return g
 }

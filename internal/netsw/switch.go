@@ -118,8 +118,8 @@ func (s *Switch) EnableObs(o *obs.Obs) {
 type Port struct {
 	sw        *Switch
 	id        int
-	out       nic.Endpoint
-	outEng    *sim.Engine // engine hosting out; == sw.eng when co-located
+	out       *nic.Wire
+	outEng    *sim.Engine // engine hosting out.To; == sw.eng when co-located
 	prop      sim.Duration
 	routeTo   int
 	busyTil   sim.Time
@@ -157,7 +157,7 @@ func (s *Switch) Forward(ingress, egress int) {
 // than the pipeline-latency floor plus prop after its ingress event, so
 // that sum is this wire's lookahead.
 func (p *Port) Attach(dev nic.Endpoint, prop sim.Duration) {
-	p.out = dev
+	p.out = &nic.Wire{To: dev}
 	p.prop = prop
 	p.outEng = sim.EngineOf(dev, p.sw.eng)
 	if r := p.sw.eng.Router(); r != nil && p.outEng != p.sw.eng {
@@ -237,24 +237,26 @@ func (p *Port) transmit(pkt *packet.Packet, ready sim.Time) {
 	end := start + packet.SerializationTime(pkt.FrameLen, p.sw.prof.PortRateBps)
 	p.busyTil = end
 	p.forwarded++
-	ob := p.sw.ob
-	if ob != nil {
+	if ob := p.sw.ob; ob != nil {
 		ob.forwarded.Inc()
 		ob.queuePeak.MaxInt(int64(p.queued))
 	}
-	out, prop := p.out, p.prop
-	p.sw.act.Post(end, func() {
-		p.queued -= wb
-		if ob != nil && ob.tr != nil {
-			ob.tr.End(pkt.Tag, obs.StageSwitch, end)
-		}
-	})
+	p.sw.act.PostTo(end, p, pkt)
 	// The delivery instant is already determined, so the wire event is
-	// issued here rather than from the end-of-serialization callback —
-	// in a partitioned run it may cross to the device's domain, and a
+	// issued here rather than from the end-of-serialization event — in
+	// a partitioned run it may cross to the device's domain, and a
 	// crossing must be sent while the ingress event (whose time the
 	// lookahead promise is anchored to) is still executing.
-	p.sw.act.Send(p.outEng, end+prop, func() {
-		out.Receive(pkt, end+prop)
-	})
+	p.sw.act.SendTo(p.outEng, end+p.prop, p.out, pkt)
+}
+
+// Fire implements sim.Handler for the end of a frame's egress queue
+// residency (queued by transmit, the frame as the argument): the frame
+// has finished serializing, so its bytes leave the queue.
+func (p *Port) Fire(at sim.Time, arg any) {
+	pkt := arg.(*packet.Packet)
+	p.queued -= packet.WireBytes(pkt.FrameLen)
+	if ob := p.sw.ob; ob != nil && ob.tr != nil {
+		ob.tr.End(pkt.Tag, obs.StageSwitch, at)
+	}
 }

@@ -30,6 +30,17 @@ type Endpoint interface {
 	Receive(p *packet.Packet, wireTime sim.Time)
 }
 
+// Wire is the delivering end of one connection: a sim.Handler that
+// hands the frame carried as the event argument to To at the event's
+// instant. Queue.Connect and netsw.Port.Attach create one per wiring,
+// so each frame put on the line costs a queued (wire, frame) pair
+// rather than a closure, and frames in flight keep the far end they
+// left for even if the near end is rewired.
+type Wire struct{ To Endpoint }
+
+// Fire implements sim.Handler.
+func (w *Wire) Fire(at sim.Time, arg any) { w.To.Receive(arg.(*packet.Packet), at) }
+
 // Profile captures a NIC's timing personality. All distributions may be
 // nil, meaning "perfect" (zero).
 type Profile struct {
@@ -179,11 +190,12 @@ func (n *NIC) Profile() Profile { return n.prof }
 // SR-IOV virtual function of a shared NIC.
 type Queue struct {
 	nic      *NIC
-	peer     Endpoint
-	peerEng  *sim.Engine // engine hosting peer; == nic.eng when co-located
+	peer     *Wire
+	peerEng  *sim.Engine // engine hosting peer.To; == nic.eng when co-located
 	prop     sim.Duration
 	capPkts  int
-	bursts   [][]*packet.Packet
+	bursts   [][]*packet.Packet // bursts[head:] are queued, oldest first (see popBurst)
+	head     int
 	deficit  int
 	queued   int
 	sent     uint64
@@ -208,7 +220,7 @@ func (n *NIC) NewQueue(capPkts int) *Queue {
 // leave no earlier than prop after the drain that emits them, so prop
 // is this wire's lookahead.
 func (q *Queue) Connect(peer Endpoint, prop sim.Duration) {
-	q.peer = peer
+	q.peer = &Wire{To: peer}
 	q.prop = prop
 	q.peerEng = sim.EngineOf(peer, q.nic.eng)
 	if r := q.nic.eng.Router(); r != nil && q.peerEng != q.nic.eng {
@@ -219,6 +231,28 @@ func (q *Queue) Connect(peer Endpoint, prop sim.Duration) {
 // SimEngine reports the engine this queue's NIC runs on (sim.Hosted),
 // so traffic sources can schedule alongside the queue they feed.
 func (q *Queue) SimEngine() *sim.Engine { return q.nic.eng }
+
+// backlogged reports whether any burst is queued.
+func (q *Queue) backlogged() bool { return q.head < len(q.bursts) }
+
+// popBurst drops the oldest queued burst by advancing head, not by
+// reslicing the front away, so bursts cycling through the queue reuse
+// one array instead of reallocating it. A drained queue rewinds to
+// the front of the array; a persistent backlog is shifted down once
+// the dead prefix outgrows it, keeping the array proportional to the
+// backlog.
+func (q *Queue) popBurst() {
+	q.bursts[q.head] = nil
+	q.head++
+	switch {
+	case q.head == len(q.bursts):
+		q.bursts, q.head = q.bursts[:0], 0
+	case q.head >= 64 && 2*q.head >= len(q.bursts):
+		n := copy(q.bursts, q.bursts[q.head:])
+		clear(q.bursts[n:])
+		q.bursts, q.head = q.bursts[:n], 0
+	}
+}
 
 // Sent returns frames put on the wire from this queue.
 func (q *Queue) Sent() uint64 { return q.sent }
@@ -296,8 +330,11 @@ func (n *NIC) kick() {
 	if n.ob != nil {
 		n.ob.pullLat.Observe(int64(at - now))
 	}
-	n.act.Post(at, n.drain)
+	n.act.PostTo(at, n, nil)
 }
+
+// Fire implements sim.Handler: the NIC's one event is a DMA drain.
+func (n *NIC) Fire(sim.Time, any) { n.drain() }
 
 // drain pulls the next unit of work — a whole burst, or a single packet
 // when the arbiter interleaves at packet granularity — from the next
@@ -310,19 +347,19 @@ func (n *NIC) drain() {
 	if interleave {
 		q = n.pickDRR()
 		if q != nil {
-			head := q.bursts[0]
+			head := q.bursts[q.head]
 			burst = head[:1]
 			if len(head) == 1 {
-				q.bursts = q.bursts[1:]
+				q.popBurst()
 			} else {
-				q.bursts[0] = head[1:]
+				q.bursts[q.head] = head[1:]
 			}
 		}
 	} else {
 		q = n.pickQueue()
 		if q != nil {
-			burst = q.bursts[0]
-			q.bursts = q.bursts[1:]
+			burst = q.bursts[q.head]
+			q.popBurst()
 		}
 	}
 	if q == nil {
@@ -374,11 +411,7 @@ func (n *NIC) drain() {
 				ob.tr.Span(p.Tag, obs.StageNICWire, ob.track, now, end)
 			}
 		}
-		peer, prop := q.peer, q.prop
-		pkt := p
-		n.act.Send(q.peerEng, end+prop, func() {
-			peer.Receive(pkt, end+prop)
-		})
+		n.act.SendTo(q.peerEng, end+q.prop, q.peer, p)
 	}
 
 	// Continue when the line frees up.
@@ -391,7 +424,7 @@ func (n *NIC) drain() {
 	if at < n.eng.Now() {
 		at = n.eng.Now()
 	}
-	n.act.Post(at, n.drain)
+	n.act.PostTo(at, n, nil)
 }
 
 // pickDRR selects the next queue by byte-fair deficit round robin and
@@ -400,7 +433,7 @@ func (n *NIC) drain() {
 func (n *NIC) pickDRR() *Queue {
 	nonEmpty := 0
 	for _, q := range n.queues {
-		if len(q.bursts) > 0 {
+		if q.backlogged() {
 			nonEmpty++
 		} else {
 			q.deficit = 0
@@ -411,11 +444,11 @@ func (n *NIC) pickDRR() *Queue {
 	}
 	for {
 		q := n.queues[n.nextVF]
-		if len(q.bursts) == 0 {
+		if !q.backlogged() {
 			n.nextVF = (n.nextVF + 1) % len(n.queues)
 			continue
 		}
-		need := packet.WireBytes(q.bursts[0][0].FrameLen)
+		need := packet.WireBytes(q.bursts[q.head][0].FrameLen)
 		if q.deficit >= need {
 			q.deficit -= need
 			return q
@@ -430,7 +463,7 @@ func (n *NIC) pickDRR() *Queue {
 func (n *NIC) pickQueue() *Queue {
 	for i := 0; i < len(n.queues); i++ {
 		q := n.queues[(n.nextVF+i)%len(n.queues)]
-		if len(q.bursts) > 0 {
+		if q.backlogged() {
 			n.nextVF = (n.nextVF + i + 1) % len(n.queues)
 			return q
 		}
@@ -442,7 +475,7 @@ func (n *NIC) pickQueue() *Queue {
 func (n *NIC) peekQueue() *Queue {
 	for i := 0; i < len(n.queues); i++ {
 		q := n.queues[(n.nextVF+i)%len(n.queues)]
-		if len(q.bursts) > 0 {
+		if q.backlogged() {
 			return q
 		}
 	}

@@ -365,3 +365,27 @@ func TestDataFrameOnControlPortStaysControl(t *testing.T) {
 		t.Fatalf("kind %v", out.Kind)
 	}
 }
+
+// TestSlabTake: bursts carved from a Slab are zeroed, distinct across
+// chunk boundaries, and capped so an append cannot reach the next
+// burst's pointers.
+func TestSlabTake(t *testing.T) {
+	var s Slab
+	seen := make(map[*Packet]bool)
+	for _, n := range []int{1, 40, 30, 64, 100, 1} {
+		burst := s.Take(n)
+		if len(burst) != n || cap(burst) != n {
+			t.Fatalf("Take(%d): len %d cap %d", n, len(burst), cap(burst))
+		}
+		for _, p := range burst {
+			if seen[p] {
+				t.Fatalf("Take(%d) handed out a packet twice", n)
+			}
+			seen[p] = true
+			if p.FrameLen != 0 || p.Tag != (Tag{}) || p.Control != nil {
+				t.Fatalf("Take(%d) returned a non-zero packet %v", n, p)
+			}
+			p.FrameLen = n
+		}
+	}
+}

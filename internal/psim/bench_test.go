@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkHandoff measures the cross-domain handoff path — actor Send
-// → SPSC ring push → consumer drain → Engine.Inject → pooled heap
-// insert — as ns and allocations per crossing. The pre-bound callbacks
-// and the engines' event free lists mean steady state should allocate
+// → SPSC ring push → consumer drain → Engine.Inject → queue insert —
+// as ns and allocations per crossing. The pre-bound callbacks and the
+// engines' reused queue slots mean steady state should allocate
 // nothing per handoff; verify.sh -bench holds a budget on this.
 func BenchmarkHandoff(b *testing.B) {
 	const la = 100

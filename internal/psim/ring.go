@@ -7,7 +7,7 @@ import (
 )
 
 // ringCap bounds each inter-domain handoff queue. Power of two so the
-// index mask is a single AND; 2048 crossings (~64 KiB) absorbs a full
+// index mask is a single AND; 2048 crossings (~112 KiB) absorbs a full
 // switch-egress burst without making an unresponsive consumer invisible
 // — a producer that fills the ring falls into the push-block protocol
 // (publish partial horizon, drain own inputs, yield) instead of
@@ -38,15 +38,16 @@ func (r *ring) tryPush(c sim.Crossing) bool {
 	return true
 }
 
-// pop removes the oldest crossing, clearing its closure slot so the
-// ring never pins a dead packet burst for a full lap.
+// pop removes the oldest crossing, zeroing its whole slot so the ring
+// never pins a handed-off handler or argument (a packet) for a full
+// lap.
 func (r *ring) pop() (sim.Crossing, bool) {
 	h := r.head.Load()
 	if h == r.tail.Load() {
 		return sim.Crossing{}, false
 	}
 	c := r.buf[h&(ringCap-1)]
-	r.buf[h&(ringCap-1)].Fn = nil
+	r.buf[h&(ringCap-1)] = sim.Crossing{}
 	r.head.Store(h + 1)
 	return c, true
 }

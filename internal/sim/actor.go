@@ -41,11 +41,18 @@ func (a *Actor) Engine() *Engine { return a.eng }
 // Now returns the actor's engine time.
 func (a *Actor) Now() Time { return a.eng.Now() }
 
-// Post queues fn at absolute time at on the actor's lane (free-listed,
-// no handle — see Engine.Post).
+// Post queues fn at absolute time at on the actor's lane (no handle —
+// see Engine.Post).
 func (a *Actor) Post(at Time, fn func()) {
+	a.PostTo(at, funcHandler(fn), nil)
+}
+
+// PostTo queues h.Fire(at, arg) at absolute time at on the actor's
+// lane: Post without a per-event closure, for per-packet paths whose
+// target is preallocated and whose state travels in arg.
+func (a *Actor) PostTo(at Time, h Handler, arg any) {
 	a.seq++
-	a.eng.postLane(at, a.lane, a.seq, fn)
+	a.eng.postLane(at, a.lane, a.seq, h, arg)
 }
 
 // PostAfter queues fn d nanoseconds from now on the actor's lane;
@@ -66,6 +73,24 @@ func (a *Actor) Schedule(at Time, fn func()) *Event {
 	return a.eng.scheduleLane(at, a.lane, a.seq, fn)
 }
 
+// Reserve claims a block of n consecutive lane sequence numbers and
+// returns the first. The block is the key space of events the actor
+// will schedule later with ScheduleSeq but must order as though they
+// had been scheduled now, one after another: a lazily armed chain
+// whose keys equal those of the eager schedule it replaces.
+func (a *Actor) Reserve(n int) uint64 {
+	base := a.seq + 1
+	a.seq += uint64(n)
+	return base
+}
+
+// ScheduleSeq is Schedule with a lane sequence number taken from a
+// block claimed by Reserve. Each reserved number must be used at most
+// once, or two events would share a key.
+func (a *Actor) ScheduleSeq(at Time, seq uint64, fn func()) *Event {
+	return a.eng.scheduleLane(at, a.lane, seq, fn)
+}
+
 // After queues fn d nanoseconds from now on the actor's lane.
 func (a *Actor) After(d Duration, fn func()) *Event {
 	if d < 0 {
@@ -80,16 +105,22 @@ func (a *Actor) After(d Duration, fn func()) *Event {
 // Router, carrying the actor's (lane, seq) key so the receiver merges
 // it into exactly the slot the single-engine run would have used.
 func (a *Actor) Send(dst *Engine, at Time, fn func()) {
+	a.SendTo(dst, at, funcHandler(fn), nil)
+}
+
+// SendTo is Send without a per-event closure: h.Fire(at, arg) runs on
+// the engine that owns dst (see PostTo).
+func (a *Actor) SendTo(dst *Engine, at Time, h Handler, arg any) {
 	a.seq++
 	if dst == nil || dst == a.eng {
-		a.eng.postLane(at, a.lane, a.seq, fn)
+		a.eng.postLane(at, a.lane, a.seq, h, arg)
 		return
 	}
 	r := a.eng.router
 	if r == nil {
 		panic(fmt.Sprintf("sim: actor lane %d: cross-engine send without a router", a.lane))
 	}
-	r.Route(a.eng, dst, Crossing{At: at, Lane: a.lane, Seq: a.seq, Fn: fn})
+	r.Route(a.eng, dst, Crossing{At: at, Lane: a.lane, Seq: a.seq, H: h, Arg: arg})
 }
 
 // Rand derives a deterministic random stream from the engine seed and a
@@ -98,13 +129,15 @@ func (a *Actor) Send(dst *Engine, at Time, fn func()) {
 func (a *Actor) Rand(label string) *rand.Rand { return a.eng.Rand(label) }
 
 // Crossing is one event crossing engines in a partitioned run: the
-// (time, lane, sequence) ordering key plus the callback, exactly what
-// the destination heap needs to merge it deterministically.
+// (time, lane, sequence) ordering key plus the handler and its
+// argument, exactly what the destination queue needs to merge it
+// deterministically.
 type Crossing struct {
 	At   Time
 	Lane uint32
 	Seq  uint64
-	Fn   func()
+	H    Handler
+	Arg  any
 }
 
 // Router carries cross-engine sends in a partitioned run. Package psim
@@ -158,7 +191,7 @@ func EngineOf(v any, fallback *Engine) *Engine {
 }
 
 // Inject merges a crossing delivered by the partition router into this
-// engine's heap, preserving the sender-side (time, lane, seq) key. It
+// engine's queue, preserving the sender-side (time, lane, seq) key. It
 // must only be called from the goroutine currently driving this engine
 // (psim's domain loop), never concurrently with Step/RunUntil on
 // another goroutine. Injecting into the executed past panics: it means
@@ -167,39 +200,24 @@ func (e *Engine) Inject(c Crossing) {
 	if c.At < e.now {
 		panic(fmt.Sprintf("sim: inject at %v before now %v (lookahead violation)", c.At, e.now))
 	}
-	e.pushPooled(c.At, c.Lane, c.Seq, c.Fn)
+	e.q.push(c.At, c.Lane, c.Seq, slot{h: c.H, arg: c.Arg})
 }
 
-// postLane is Post with an explicit (lane, seq) key.
-func (e *Engine) postLane(at Time, lane uint32, seq uint64, fn func()) {
+// postLane queues a handle-free event with an explicit (lane, seq) key.
+func (e *Engine) postLane(at Time, lane uint32, seq uint64, h Handler, arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: post at %v before now %v", at, e.now))
 	}
-	e.pushPooled(at, lane, seq, fn)
+	e.q.push(at, lane, seq, slot{h: h, arg: arg})
 }
 
-// pushPooled heap-pushes a free-listed event with the given key.
-func (e *Engine) pushPooled(at Time, lane uint32, seq uint64, fn func()) {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.fn, ev.cancelled = at, fn, false
-	} else {
-		ev = &Event{at: at, fn: fn, pooled: true}
-	}
-	ev.lane, ev.seq = lane, seq
-	e.push(ev)
-}
-
-// scheduleLane is Schedule with an explicit (lane, seq) key.
+// scheduleLane queues a handle event with an explicit (lane, seq) key.
 func (e *Engine) scheduleLane(at Time, lane uint32, seq uint64, fn func()) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, lane: lane, seq: seq, fn: fn, eng: e}
-	e.push(ev)
+	ev := &Event{at: at, eng: e}
+	e.q.push(at, lane, seq, slot{h: funcHandler(fn), ev: ev})
 	return ev
 }
 
@@ -207,10 +225,10 @@ func (e *Engine) scheduleLane(at Time, lane uint32, seq uint64, fn func()) *Even
 // tombstones included — a conservative lower bound, which is what the
 // partition's horizon promises need) and whether any event is queued.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
+	if len(e.q.keys) == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.q.keys[0].at, true
 }
 
 // DistFloor returns a conservative lower bound on d's samples, for

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestMassCancelPostReuseProperty is the free-list safety property: any
-// interleaving of handle scheduling, mass cancellation (the pause-replay
-// workload that drives heap compaction) and pooled Post reuse must never
+// TestMassCancelPostReuseProperty is the slot-reuse safety property: any
+// interleaving of handle scheduling, mass cancellation (the workload
+// that drives queue compaction) and Post's reuse of freed slots must never
 // resurrect a cancelled event, double-fire a recycled one, or lose a
 // live one — and the Pending()/PendingRaw() split must stay consistent
 // with what actually fires.
@@ -58,8 +58,8 @@ func TestMassCancelPostReuseProperty(t *testing.T) {
 		if got := eng.Pending(); got < 0 || got > eng.PendingRaw() {
 			t.Fatalf("wave %d: Pending %d out of range [0, %d]", wave, got, eng.PendingRaw())
 		}
-		// Partially drain so later waves reuse pooled events that carried
-		// earlier lanes/closures, interleaved with live tombstones.
+		// Partially drain so later waves reuse slots that carried earlier
+		// lanes/closures, interleaved with live tombstones.
 		eng.RunUntil(base + Duration(rng.Intn(1400)))
 		if rng.Intn(2) == 0 {
 			live = live[:0]

@@ -3,13 +3,15 @@
 //
 // The engine is the substrate every other component in this repository is
 // built on: NICs, switches, clocks, traffic generators and the Choir
-// middlebox all advance by scheduling callbacks on a shared Engine. Events
-// scheduled for the same instant run in schedule order (FIFO), which makes
-// every simulation bit-for-bit reproducible for a fixed seed.
+// middlebox all advance by scheduling callbacks on a shared Engine.
+// Events fire in (time, lane, lane-seq) order: same-instant events are
+// ordered by the lane of the component that scheduled them, then by
+// that component's own schedule order (see Actor). The key is unique
+// per event, so every simulation is bit-for-bit reproducible for a
+// fixed seed.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -41,18 +43,14 @@ func (t Time) String() string { return fmt.Sprintf("%dns", int64(t)) }
 // Seconds converts the time to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Event is a scheduled callback. Cancelled events are skipped when
-// popped — cancellation itself is O(1) — and when cancellations pile up
-// (mass-cancel workloads like pausing a long replay) the engine compacts
-// them out of the heap so they cannot hold memory for the rest of a run.
+// Event is a handle on a callback queued by Schedule. Cancelled events
+// are skipped when popped — cancellation itself is O(1) — and when
+// cancellations pile up (mass-cancel workloads) the engine compacts them
+// out of the queue so they cannot hold memory for the rest of a run.
 type Event struct {
 	at        Time
-	lane      uint32
-	seq       uint64
-	fn        func()
-	eng       *Engine
+	eng       *Engine // nil once fired
 	cancelled bool
-	pooled    bool
 }
 
 // At returns the time the event is scheduled for.
@@ -73,28 +71,19 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel has been called.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-type eventHeap []*Event
+// Handler is a preallocated event target. Per-packet paths queue a
+// (handler, argument) pair — Actor.PostTo, Actor.SendTo — instead of a
+// freshly allocated closure per event; Fire receives the event's
+// instant and the argument it was queued with.
+type Handler interface {
+	Fire(at Time, arg any)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].lane != h[j].lane {
-		return h[i].lane < h[j].lane
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+// funcHandler adapts a plain callback to Handler. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire(Time, any) { f() }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all simulated components run inside event callbacks.
@@ -103,7 +92,7 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
+	q        queue
 	seed     int64
 	executed uint64
 
@@ -113,12 +102,8 @@ type Engine struct {
 	// RunUntil stop firing events (see SetStepBudget).
 	budget uint64
 
-	// free is the event free list backing Post/PostAfter. Pooled events
-	// are never handed to callers, so recycling one can never confuse a
-	// retained *Event handle.
-	free []*Event
-	// cancelled counts cancelled events still sitting in the heap; when
-	// they dominate, the heap is compacted (see maybeCompact).
+	// cancelled counts cancelled events still in the queue; when they
+	// dominate, the queue is compacted (see maybeCompact).
 	cancelled int
 
 	// lanes allocates actor lanes (see NewActor). Engines hosting parts
@@ -129,11 +114,7 @@ type Engine struct {
 	router Router
 }
 
-// freeListCap bounds the event free list so bursty schedules don't pin
-// memory for the rest of a run.
-const freeListCap = 4096
-
-// compactMinHeap is the heap size below which compaction is never
+// compactMinHeap is the queue size below which compaction is never
 // worth the re-heapify.
 const compactMinHeap = 64
 
@@ -168,29 +149,24 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // queued. Cancelled tombstones awaiting pop or compaction are excluded,
 // so diagnostics built on Pending (campaign degraded rows, psim horizon
 // heuristics) see the work that will actually fire.
-func (e *Engine) Pending() int { return len(e.events) - e.cancelled }
+func (e *Engine) Pending() int { return len(e.q.keys) - e.cancelled }
 
-// PendingRaw returns the raw heap length, cancelled tombstones
-// included — the quantity heap-compaction bounds guard.
-func (e *Engine) PendingRaw() int { return len(e.events) }
+// PendingRaw returns the raw queue length, cancelled tombstones
+// included — the quantity queue compaction bounds.
+func (e *Engine) PendingRaw() int { return len(e.q.keys) }
 
 // Schedule queues fn to run at absolute time at and returns a handle
 // that can be retained and cancelled. Scheduling in the past (before
 // Now) panics: it would violate causality and always indicates a
 // component bug.
 //
-// Handle-returning events are always freshly allocated — the engine
-// never recycles them, so a handle stays valid (and Cancel stays a
-// no-op after firing) for the life of the simulation. Hot paths that
-// discard the handle should use Post/PostAfter, which draw from the
-// engine's event free list.
+// Each call allocates its handle — the engine never recycles one, so a
+// handle stays valid (and Cancel stays a no-op after firing) for the
+// life of the simulation. Hot paths that discard the handle should use
+// Post/PostAfter, which allocate nothing per event.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	ev := &Event{at: at, seq: e.seq, fn: fn, eng: e}
+	ev := e.scheduleLane(at, 0, e.seq, fn)
 	e.seq++
-	heap.Push(&e.events, ev)
 	return ev
 }
 
@@ -203,32 +179,14 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 }
 
 // Post queues fn to run at absolute time at, without returning a
-// handle. The backing event comes from the engine's free list and is
-// recycled after it fires, so steady-state fire-and-forget scheduling
-// (NIC drains, generator emissions, switch forwards) does not allocate
-// event structs. Firing order is identical to Schedule: same (time,
-// sequence) key, same panic on scheduling into the past.
+// handle, so steady-state fire-and-forget scheduling does not allocate
+// per event. Firing order is identical to Schedule: same
+// (time, lane, lane-seq) key — lane 0 and the engine's own sequence
+// counter — and the same panic on scheduling into the past.
 func (e *Engine) Post(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: post at %v before now %v", at, e.now))
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.fn, ev.cancelled = at, fn, false
-	} else {
-		ev = &Event{at: at, fn: fn, pooled: true}
-	}
-	ev.lane = 0 // recycled events may carry an actor lane
-	ev.seq = e.seq
+	e.postLane(at, 0, e.seq, funcHandler(fn), nil)
 	e.seq++
-	heap.Push(&e.events, ev)
 }
-
-// push heap-inserts an event whose (at, lane, seq) key is already set.
-func (e *Engine) push(ev *Event) { heap.Push(&e.events, ev) }
 
 // PostAfter queues fn to run d nanoseconds from now, handle-free (see
 // Post).
@@ -237,15 +195,6 @@ func (e *Engine) PostAfter(d Duration, fn func()) {
 		d = 0
 	}
 	e.Post(e.now+d, fn)
-}
-
-// recycle returns a pooled event to the free list.
-func (e *Engine) recycle(ev *Event) {
-	if !ev.pooled || len(e.free) >= freeListCap {
-		return
-	}
-	ev.fn = nil // drop the closure reference
-	e.free = append(e.free, ev)
 }
 
 // SetStepBudget bounds the total number of events this engine will ever
@@ -270,22 +219,23 @@ func (e *Engine) Step() bool {
 	if e.BudgetExhausted() {
 		return false
 	}
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancelled {
-			e.cancelled--
-			e.recycle(ev)
-			continue
+	for len(e.q.keys) > 0 {
+		k := e.q.pop()
+		s := e.q.release(k.slot)
+		if s.ev != nil {
+			if s.ev.cancelled {
+				e.cancelled--
+				continue
+			}
+			// A late Cancel on a fired handle must be a true no-op:
+			// the event is out of the queue, so counting a tombstone
+			// for it would corrupt Pending() and trigger phantom
+			// compactions.
+			s.ev.eng = nil
 		}
-		e.now = ev.at
+		e.now = k.at
 		e.executed++
-		fn := ev.fn
-		// A late Cancel on a fired handle must be a true no-op: the
-		// event is out of the heap, so counting a tombstone for it
-		// would corrupt Pending() and trigger phantom compactions.
-		ev.eng = nil
-		e.recycle(ev)
-		fn()
+		s.h.Fire(k.at, s.arg)
 		return true
 	}
 	return false
@@ -300,13 +250,12 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, then advances the
 // clock to deadline (even if the queue drained earlier).
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && !e.BudgetExhausted() {
-		// Peek cheapest event.
-		next := e.events[0]
-		if next.cancelled {
-			heap.Pop(&e.events)
+	for len(e.q.keys) > 0 && !e.BudgetExhausted() {
+		next := e.q.keys[0]
+		if ev := e.q.slots[next.slot].ev; ev != nil && ev.cancelled {
+			e.q.pop()
+			e.q.release(next.slot)
 			e.cancelled--
-			e.recycle(next)
 			continue
 		}
 		if next.at > deadline {
@@ -319,41 +268,27 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// noteCancelled records one more cancelled event in the heap and
+// noteCancelled records one more cancelled event in the queue and
 // compacts when cancellations dominate. Without this, a mass cancel
-// (pausing a replay with hundreds of thousands of armed bursts) would
-// leave the heap holding every dead event — and its packet-burst
-// closure — until simulated time happened to pop it.
+// would leave the queue holding every dead event — and its callback —
+// until simulated time happened to pop it.
 func (e *Engine) noteCancelled() {
 	e.cancelled++
 	e.maybeCompact()
 }
 
-// maybeCompact rebuilds the heap without cancelled events once they
-// outnumber the live ones (and the heap is big enough to care). The
-// rebuild is O(n) and preserves the (time, sequence) firing order —
-// Less is a total order over unique keys, so pop order, and therefore
-// the simulation, is bit-identical with or without compaction.
+// maybeCompact rebuilds the queue without cancelled events once they
+// outnumber the live ones (and the queue is big enough to care). The
+// rebuild is O(n) and preserves the (time, lane, lane-seq) firing
+// order — that key is a total order over unique keys, so pop order,
+// and therefore the simulation, is bit-identical with or without
+// compaction.
 func (e *Engine) maybeCompact() {
-	if len(e.events) < compactMinHeap || e.cancelled*2 <= len(e.events) {
+	if len(e.q.keys) < compactMinHeap || e.cancelled*2 <= len(e.q.keys) {
 		return
 	}
-	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		live = append(live, ev)
-	}
-	// Zero the tail so dropped events (and their closures) are
-	// collectable.
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = live
+	e.q.filter(func(s *slot) bool { return s.ev == nil || !s.ev.cancelled })
 	e.cancelled = 0
-	heap.Init(&e.events)
 }
 
 // RunFor runs the simulation for d nanoseconds of virtual time.

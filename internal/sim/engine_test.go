@@ -409,7 +409,7 @@ func TestPostMatchesScheduleOrdering(t *testing.T) {
 }
 
 // TestPostRecyclesEvents verifies steady-state Post scheduling reuses
-// pooled events instead of allocating a fresh struct per event.
+// queue slots instead of allocating per event.
 func TestPostRecyclesEvents(t *testing.T) {
 	e := NewEngine(1)
 	var fired int

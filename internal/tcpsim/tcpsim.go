@@ -62,6 +62,7 @@ type Flow struct {
 	timeouts uint64
 	sentSegs uint64
 	stopped  bool
+	slab     packet.Slab
 }
 
 // Start launches a TCP flow that sends through q. The flow delivers its
@@ -128,9 +129,9 @@ func (f *Flow) pump() {
 const tsoBatch = 32
 
 func (f *Flow) sendBatch(n int) {
-	pkts := make([]*packet.Packet, n)
-	for i := range pkts {
-		pkts[i] = &packet.Packet{
+	pkts := f.slab.Take(n)
+	for _, p := range pkts {
+		*p = packet.Packet{
 			Tag:      packet.Tag{Replayer: 0xFFFF, Stream: f.cfg.ID, Seq: f.nextSeq},
 			Kind:     packet.KindNoise,
 			FrameLen: f.cfg.SegmentLen,
@@ -144,25 +145,54 @@ func (f *Flow) sendBatch(n int) {
 	// The receiver ACKs one RTT after the batch was handed to the NIC,
 	// provided each segment actually reached the wire — a tail-dropped
 	// segment is never serialized (SentAt stays zero) and is recovered
-	// by the retransmission timeout instead.
+	// by the retransmission timeout (4x RTT) instead.
+	now := f.eng.Now()
 	for _, p := range pkts {
-		p := p
-		acked := false
-		f.act.PostAfter(f.cfg.RTT, func() {
-			// Acked only if the segment was serialized in time for the
-			// ACK to be back by now; a segment still queued (or pulled
-			// but not yet on the wire) is recovered by the RTO.
-			if p.SentAt != 0 && p.SentAt <= f.eng.Now() {
-				acked = true
-				f.onAck()
-			}
-		})
-		// RTO at 4x RTT.
-		f.act.PostAfter(4*f.cfg.RTT, func() {
-			if !acked {
-				f.onTimeout()
-			}
-		})
+		f.act.PostTo(now+f.rttAfter(1), (*ackTimer)(f), p)
+		f.act.PostTo(now+f.rttAfter(4), (*rtoTimer)(f), p)
+	}
+}
+
+// rttAfter is k RTTs as a non-negative delay (PostAfter's clamp).
+func (f *Flow) rttAfter(k sim.Duration) sim.Duration {
+	if d := k * f.cfg.RTT; d > 0 {
+		return d
+	}
+	return 0
+}
+
+// ackedBy reports whether segment p's ACK was back by instant ackAt:
+// the segment was serialized (SentAt set by the NIC) no later than
+// then. A segment still queued, or pulled but not yet on the wire, is
+// recovered by the RTO.
+func ackedBy(p *packet.Packet, ackAt sim.Time) bool {
+	return p.SentAt != 0 && p.SentAt <= ackAt
+}
+
+// ackTimer and rtoTimer are a flow's per-segment timers: sim.Handlers
+// queued with the segment as the argument, so a batch costs no
+// closures.
+type (
+	ackTimer Flow
+	rtoTimer Flow
+)
+
+// Fire acknowledges the segment if it reached the wire in time.
+func (t *ackTimer) Fire(at sim.Time, arg any) {
+	if ackedBy(arg.(*packet.Packet), at) {
+		(*Flow)(t).onAck()
+	}
+}
+
+// Fire times the segment out unless its ACK fired. The ACK ran 3 RTTs
+// earlier and judged the segment by SentAt, which the flow's NIC sets
+// once, when it serializes the segment (noise never crosses a second
+// NIC); judging SentAt again at the ACK's instant repeats the ACK's
+// verdict without storing it per segment.
+func (t *rtoTimer) Fire(at sim.Time, arg any) {
+	f := (*Flow)(t)
+	if !ackedBy(arg.(*packet.Packet), at-f.rttAfter(4)+f.rttAfter(1)) {
+		f.onTimeout()
 	}
 }
 
