@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -102,20 +103,33 @@ func (p *Packet) Frame() ([]byte, error) {
 }
 
 // ParseFrame reconstructs a Packet from captured frame bytes (FCS
-// excluded). Frames without a valid trailer tag parse as noise.
+// excluded) into a fresh Packet. See ParseFrameInto.
 func ParseFrame(b []byte) (*Packet, error) {
-	eth, rest, err := ParseEthernet(b)
-	if err != nil {
+	p := new(Packet)
+	if err := ParseFrameInto(p, b); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// ParseFrameInto reconstructs a packet from captured frame bytes (FCS
+// excluded) into *p, overwriting every field. Frames without a valid
+// trailer tag parse as noise. A control frame's command bytes are
+// copied out, so *p never references b and the caller may reuse b as
+// soon as this returns. On error *p holds no meaningful packet.
+func ParseFrameInto(p *Packet, b []byte) error {
+	eth, rest, err := ParseEthernet(b)
+	if err != nil {
+		return err
+	}
 	if eth.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("packet: unsupported ethertype %#04x", eth.EtherType)
+		return fmt.Errorf("packet: unsupported ethertype %#04x", eth.EtherType)
 	}
 	ip, rest, err := ParseIPv4(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &Packet{
+	*p = Packet{
 		FrameLen: len(b) + FCSLen,
 		Flow: FiveTuple{
 			Src:   ip.Src,
@@ -127,17 +141,17 @@ func ParseFrame(b []byte) (*Packet, error) {
 	case ProtoUDP:
 		udp, _, err := ParseUDP(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Flow.SrcPort, p.Flow.DstPort = udp.SrcPort, udp.DstPort
 	case ProtoTCP:
 		tcp, _, err := ParseTCP(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Flow.SrcPort, p.Flow.DstPort = tcp.SrcPort, tcp.DstPort
 	default:
-		return nil, errors.New("packet: unsupported transport protocol")
+		return errors.New("packet: unsupported transport protocol")
 	}
 	if tag, ok := ParseTag(b); ok {
 		p.Tag = tag
@@ -145,13 +159,13 @@ func ParseFrame(b []byte) (*Packet, error) {
 		if p.Flow.DstPort == ControlPort {
 			p.Kind = KindControl
 			if ctl, err := controlPayload(rest); err == nil {
-				p.Control = ctl
+				p.Control = bytes.Clone(ctl)
 			}
 		}
 	} else {
 		p.Kind = KindNoise
 	}
-	return p, nil
+	return nil
 }
 
 // controlPayload recovers the length-prefixed command bytes from the

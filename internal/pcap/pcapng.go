@@ -130,27 +130,34 @@ func ReadNG(r io.Reader, name string) (*trace.Trace, error) {
 	// Per-interface timestamp scale in ns per unit.
 	var ifScale []sim.Duration
 
+	var slab packet.Slab // backs every packet of the trace
+	// readBlock returns the next block's type and body. The body lives
+	// in one buffer reused across calls, so it is valid only until the
+	// next call.
+	var buf []byte
 	readBlock := func() (uint32, []byte, error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, nil, err
+		hdr, err := br.Peek(8)
+		if err != nil {
+			return 0, nil, fullErr(len(hdr), err)
 		}
 		btype := binary.LittleEndian.Uint32(hdr[0:4])
 		total := binary.LittleEndian.Uint32(hdr[4:8])
+		_, _ = br.Discard(8) // just peeked: cannot fail
 		if total < 12 || total > 1<<26 {
 			return 0, nil, fmt.Errorf("pcapng: implausible block length %d", total)
 		}
-		body := make([]byte, total-12)
-		if _, err := io.ReadFull(br, body); err != nil {
+		body, err := readGrow(br, &buf, int(total-12))
+		if err != nil {
 			return 0, nil, fmt.Errorf("pcapng: block body: %w", err)
 		}
-		var tail [4]byte
-		if _, err := io.ReadFull(br, tail[:]); err != nil {
-			return 0, nil, fmt.Errorf("pcapng: block trailer: %w", err)
+		tail, err := br.Peek(4)
+		if err != nil {
+			return 0, nil, fmt.Errorf("pcapng: block trailer: %w", fullErr(len(tail), err))
 		}
-		if binary.LittleEndian.Uint32(tail[:]) != total {
+		if binary.LittleEndian.Uint32(tail) != total {
 			return 0, nil, errors.New("pcapng: trailing length mismatch")
 		}
+		_, _ = br.Discard(4) // just peeked: cannot fail
 		return btype, body, nil
 	}
 
@@ -223,13 +230,8 @@ func ReadNG(r io.Reader, name string) (*trace.Trace, error) {
 			}
 			scale := ifScale[ifID]
 			ts := sim.Time(uint64(tsHigh)<<32|uint64(tsLow)) * scale
-			raw := body[20 : 20+inclLen]
-			p, err := packet.ParseFrame(raw)
-			if err != nil || inclLen < origLen {
-				p = &packet.Packet{Kind: packet.KindNoise, FrameLen: int(origLen) + packet.FCSLen}
-			} else {
-				p.FrameLen = int(origLen) + packet.FCSLen
-			}
+			p := slab.Take(1)[0]
+			decodeRecord(p, body[20:20+inclLen], origLen)
 			tr.Append(p, ts)
 		default:
 			// Unknown block: skip (already consumed).

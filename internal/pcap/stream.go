@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -27,6 +28,19 @@ var ErrLimit = errors.New("pcap: stream exceeds size limit")
 // whole-trace materialization. It is the file-backed Source of the
 // streaming consistency engine (internal/stream), and the batch Read is
 // built on top of it, so both paths share one record parser.
+//
+// Decoding an Ethernet/IPv4 capture allocates nothing per record:
+// record headers and bodies are parsed in place in the read buffer
+// (records longer than the buffer go through one scratch buffer kept at
+// the largest length seen), and packets are carved from a slab, one
+// allocation per slabful. A frame that fails to parse still costs the
+// parse error that the noise fallback discards.
+//
+// Ownership: every packet Next returns is distinct, the Stream never
+// touches it again, and no packet references the Stream's buffers (a
+// control frame's command bytes are copied out). A caller may keep,
+// share or mutate returned packets freely; a packet keeps the slab
+// chunk it was carved from reachable.
 type Stream struct {
 	br      *bufio.Reader
 	closer  io.Closer
@@ -36,6 +50,9 @@ type Stream struct {
 	snapLen uint32
 	count   int
 	err     error // sticky terminal error (incl. io.EOF)
+
+	slab    packet.Slab // backs every returned packet
+	scratch []byte      // body of a record longer than br's buffer
 
 	bytes     int64 // bytes of well-formed input consumed (header + whole records)
 	limit     int64 // 0 = unlimited; checked against bytes before each record body
@@ -164,14 +181,16 @@ func (s *Stream) Close() error {
 // Next decodes one record. It returns io.EOF at a clean record boundary
 // and an error wrapping ErrTruncated when the stream ends mid-record.
 // Unparseable or snap-truncated frames are returned as noise packets so
-// counts line up with the capture, exactly like the batch Read.
+// counts line up with the capture, exactly like the batch Read. The
+// returned packet is the caller's: see the ownership contract on Stream.
 func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 	if s.err != nil {
 		return nil, 0, s.err
 	}
-	var rec [16]byte
-	if n, err := io.ReadFull(s.br, rec[:]); err != nil {
-		if errors.Is(err, io.EOF) {
+	rec, err := s.br.Peek(16)
+	if err != nil {
+		n := len(rec)
+		if err = fullErr(n, err); errors.Is(err, io.EOF) {
 			s.err = io.EOF
 		} else if errors.Is(err, io.ErrUnexpectedEOF) {
 			s.tornBytes = int64(n)
@@ -187,6 +206,7 @@ func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 	sub := s.bo.Uint32(rec[4:8])
 	inclLen := s.bo.Uint32(rec[8:12])
 	origLen := s.bo.Uint32(rec[12:16])
+	_, _ = s.br.Discard(16) // just peeked: cannot fail
 	if inclLen > s.snapLen {
 		s.tornBytes = 16
 		s.reason = fmt.Sprintf("record %d declares incl_len %d > snaplen %d", s.count, inclLen, s.snapLen)
@@ -200,8 +220,18 @@ func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 		s.err = fmt.Errorf("pcap: record %d: %w (%d bytes consumed, limit %d)", s.count, ErrLimit, s.bytes, s.limit)
 		return nil, 0, s.err
 	}
-	buf := make([]byte, inclLen)
-	if n, err := io.ReadFull(s.br, buf); err != nil {
+	// The body is parsed where it lies: in br's buffer when it fits
+	// (discarded once parsed), else in the scratch buffer.
+	var body []byte
+	inPlace := int(inclLen) <= s.br.Size()
+	if inPlace {
+		body, err = s.br.Peek(int(inclLen))
+		err = fullErr(len(body), err)
+	} else {
+		body, err = readGrow(s.br, &s.scratch, int(inclLen))
+	}
+	if err != nil {
+		n := len(body)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			s.tornBytes = 16 + int64(n)
 			s.reason = fmt.Sprintf("torn record body (%d of %d bytes in record %d)", n, inclLen, s.count)
@@ -213,14 +243,54 @@ func (s *Stream) Next() (*packet.Packet, sim.Time, error) {
 		return nil, 0, s.err
 	}
 	ts := sim.Time(sec)*sim.Second + sim.Time(sub)*s.tsScale
-	p, err := packet.ParseFrame(buf)
-	if err != nil || inclLen < origLen {
-		// Truncated or foreign frame: keep as noise.
-		p = &packet.Packet{Kind: packet.KindNoise, FrameLen: int(origLen) + packet.FCSLen}
-	} else {
-		p.FrameLen = int(origLen) + packet.FCSLen
+	p := s.slab.Take(1)[0]
+	decodeRecord(p, body, origLen)
+	if inPlace {
+		_, _ = s.br.Discard(len(body)) // just peeked: cannot fail
 	}
 	s.count++
 	s.bytes += 16 + int64(inclLen)
 	return p, ts, nil
+}
+
+// decodeRecord fills p from one captured frame whose original length
+// was origLen. Truncated or foreign frames are kept as noise, so packet
+// counts line up with the capture.
+func decodeRecord(p *packet.Packet, frame []byte, origLen uint32) {
+	if packet.ParseFrameInto(p, frame) != nil || len(frame) < int(origLen) {
+		*p = packet.Packet{Kind: packet.KindNoise}
+	}
+	p.FrameLen = int(origLen) + packet.FCSLen
+}
+
+// readGrow reads the next n bytes of br into *buf, which is reused and
+// kept at the largest size read. The buffer grows one read-buffer's
+// worth at a time as bytes arrive, so a hostile length field costs
+// memory in proportion to the input behind it, not to the length it
+// claims. On a short read it returns the bytes read and the error
+// io.ReadFull would.
+func readGrow(br *bufio.Reader, buf *[]byte, n int) ([]byte, error) {
+	b := (*buf)[:0]
+	for len(b) < n {
+		chunk := min(n-len(b), br.Size())
+		b = slices.Grow(b, chunk)
+		k, err := io.ReadFull(br, b[len(b):len(b)+chunk])
+		b = b[:len(b)+k]
+		if err != nil {
+			*buf = b
+			return b, fullErr(len(b), err)
+		}
+	}
+	*buf = b
+	return b, nil
+}
+
+// fullErr maps the error of a short bufio.Reader.Peek that returned n
+// bytes to the error io.ReadFull reports for the same short read, so
+// peeked and copied reads fail alike.
+func fullErr(n int, err error) error {
+	if n > 0 && err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
